@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"scalefree/internal/rng"
 )
@@ -104,11 +105,20 @@ func TestRunErrorCarriesTrialKey(t *testing.T) {
 func TestRunErrorCancelsRemainingTrials(t *testing.T) {
 	trials := makeTrials(100)
 	var ran sync.Map
+	// Every trial but 0 holds its worker until the failure's cancel
+	// lands, so no worker can finish the whole list first. The shared
+	// timeout only bounds the test if cancellation never arrives.
+	wait, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
 	_, err := Run(context.Background(), trials, Options{Workers: 2},
-		func(_ context.Context, t Trial, _ *rng.RNG) (int, error) {
+		func(ctx context.Context, t Trial, _ *rng.RNG) (int, error) {
 			ran.Store(t.Index, true)
 			if t.Index == 0 {
 				return 0, errors.New("early failure")
+			}
+			select {
+			case <-ctx.Done():
+			case <-wait.Done():
 			}
 			return t.Index, nil
 		})

@@ -166,9 +166,11 @@ func (b *Builder) Freeze() *Graph {
 // returned pointer is g. The snapshot is a copy — mutating the builder
 // afterwards does not affect it (the next FreezeInto does).
 //
-// Incidence order matches the historical per-vertex append order: each
-// vertex's halves appear in edge-insertion order, with a self-loop
-// contributing its Out half before its In half.
+// Each vertex's halves appear in edge-ID (insertion) order, with a
+// self-loop contributing its Out half before its In half. This order
+// is a Graph invariant, not an accident of the build: the search
+// oracle finds an edge's far half by binary search on Half.Edge, and
+// Snapshot.Validate rejects files that break it.
 func (b *Builder) FreezeInto(g *Graph) *Graph {
 	b.ensureInit()
 	n := b.NumVertices()

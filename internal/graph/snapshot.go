@@ -459,10 +459,11 @@ func castHalves(b []byte, count int) []Half {
 
 // Validate runs the full O(n+m) structural check of the snapshot's
 // graph: offsets monotone and spanning exactly 2m halves, every half
-// consistent with its edge's endpoints, every endpoint in range, and
-// the degree counters matching the edge list. WriteSnapshot output
-// always validates; use this before traversing a file from an
-// untrusted source, where OpenSnapshot's header checks are not enough.
+// consistent with its edge's endpoints, each vertex's halves in
+// edge-ID order, every endpoint in range, and the degree counters
+// matching the edge list. WriteSnapshot output always validates; use
+// this before traversing a file from an untrusted source, where
+// OpenSnapshot's header checks are not enough.
 func (s *Snapshot) Validate() error {
 	g := s.g
 	if g == nil {
@@ -502,10 +503,15 @@ func (s *Snapshot) Validate() error {
 		return fmt.Errorf("graph: snapshot degree sums (in %d, out %d) != m = %d", inSum, outSum, m)
 	}
 	for v := 1; v <= n; v++ {
+		prev := NoEdge
 		for _, h := range g.halves[g.off[v]:g.off[v+1]] {
 			if h.Edge < 0 || int(h.Edge) >= m {
 				return fmt.Errorf("graph: snapshot vertex %d references edge %d out of range", v, h.Edge)
 			}
+			if h.Edge < prev {
+				return fmt.Errorf("graph: snapshot vertex %d halves out of edge order at edge %d", v, h.Edge)
+			}
+			prev = h.Edge
 			u, w := g.from[h.Edge], g.to[h.Edge]
 			if h.Out {
 				if u != Vertex(v) || h.Other != w {

@@ -334,6 +334,41 @@ func TestSnapshotValidateCatchesBodyCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotValidateCatchesHalfOrder: swapping two halves of one
+// vertex leaves every half consistent with its edge, but breaks the
+// edge-ID order that binary-search lookups rely on.
+func TestSnapshotValidateCatchesHalfOrder(t *testing.T) {
+	_, raw := writeTestSnapshot(t)
+	n, m, err := decodeHeader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := computeLayout(n, m)
+	// Vertex 2 owns halves 1 (edge 0, in) and 2 (edge 1, out).
+	a := l.halvesOff + 1*snapshotHalfSize
+	b := l.halvesOff + 2*snapshotHalfSize
+	mutated := append([]byte(nil), raw...)
+	var tmp [snapshotHalfSize]byte
+	copy(tmp[:], mutated[a:a+snapshotHalfSize])
+	copy(mutated[a:a+snapshotHalfSize], mutated[b:b+snapshotHalfSize])
+	copy(mutated[b:b+snapshotHalfSize], tmp[:])
+	bad := filepath.Join(t.TempDir(), "swapped.csr")
+	if err := os.WriteFile(bad, mutated, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := OpenSnapshot(bad)
+	if err != nil {
+		t.Fatalf("header checks rejected a body-only change: %v", err)
+	}
+	defer snap.Close()
+	if inc := snap.Graph().Incident(2); inc[0].Edge != 1 || inc[1].Edge != 0 {
+		t.Fatalf("swap did not land on vertex 2: %+v", inc)
+	}
+	if err := snap.Validate(); err == nil {
+		t.Fatal("Validate accepted halves out of edge order")
+	}
+}
+
 func TestSnapshotCloseIdempotent(t *testing.T) {
 	path, _ := writeTestSnapshot(t)
 	snap, err := OpenSnapshot(path)

@@ -36,9 +36,12 @@ func budgetLeft(o *Oracle, maxRequests int) bool {
 
 // stepCap bounds the total number of *moves* (including free moves
 // along already-resolved edges) for walk-style algorithms, so that a
-// walk confined to an exhausted region terminates. It is generous
-// enough (64× the request budget) that no measurement in the repo is
-// step-capped before it is request-capped.
+// walk confined to an exhausted region terminates. At 64× the request
+// budget it is generous, but it does bind: on hub-heavy graphs
+// self-avoiding-walk and biased-walk trials can spend the whole cap on
+// free moves among already-known vertices and stop with budget left.
+// Such a trial reports Found=false with fewer requests than the
+// budget.
 func stepCap(maxRequests int) int {
 	if maxRequests <= 0 {
 		return 1 << 40

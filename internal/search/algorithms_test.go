@@ -1,6 +1,8 @@
 package search
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"scalefree/internal/graph"
@@ -205,22 +207,22 @@ func TestSelfAvoidingWalkBeatsPureWalkOnAverage(t *testing.T) {
 }
 
 func TestHeapOrdering(t *testing.T) {
-	h := newHeap(func(a, b int) bool { return a < b })
-	for _, x := range []int{5, 1, 4, 1, 3, 9, 2} {
-		h.Push(x)
+	var h prioHeap
+	for _, x := range []int64{5, 1, 4, 1, 3, 9, 2} {
+		h.Push(prioEntry{prio: x})
 	}
-	want := []int{1, 1, 2, 3, 4, 5, 9}
+	want := []int64{1, 1, 2, 3, 4, 5, 9}
 	for _, w := range want {
 		got, ok := h.Pop()
-		if !ok || got != w {
-			t.Fatalf("Pop = (%d, %v), want %d", got, ok, w)
+		if !ok || got.prio != w {
+			t.Fatalf("Pop = (%d, %v), want %d", got.prio, ok, w)
 		}
 	}
 	if _, ok := h.Pop(); ok {
 		t.Fatal("Pop on empty heap reported ok")
 	}
-	if h.Len() != 0 {
-		t.Fatalf("Len = %d", h.Len())
+	if len(h) != 0 {
+		t.Fatalf("len = %d", len(h))
 	}
 }
 
@@ -230,5 +232,86 @@ func TestKnowledgeString(t *testing.T) {
 	}
 	if Knowledge(9).String() == "" {
 		t.Error("unknown knowledge stringer empty")
+	}
+}
+
+// TestSearchOutcomesPinned pins every algorithm's request count,
+// outcome and discovery order on one hub-heavy graph to the values the
+// original linear-scan request paths produced. Any change to an
+// algorithm's draws or slot choices moves a measurement, and fails
+// here before it reaches a table.
+func TestSearchOutcomesPinned(t *testing.T) {
+	g, err := mori.Config{N: 800, M: 2, P: 0.7}.Generate(rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Vertex 645 lies at the largest BFS distance (5) from the start.
+	start, target := graph.Vertex(800), graph.Vertex(645)
+	want := []struct {
+		alg       string
+		seed      uint64
+		requests  int
+		found     bool
+		discovery uint64 // FNV-1a of the discovery order
+	}{
+		{"random-walk", 1, 368, true, 0x3070bfc62f38d7ea},
+		{"random-walk", 2, 34, true, 0xc4510845dd9534dd},
+		{"random-walk", 3, 800, false, 0xf7bdda5f18b90fc8},
+		{"self-avoiding-walk", 1, 800, false, 0xa7f29bafb656721f},
+		{"self-avoiding-walk", 2, 800, false, 0xee6aadae6bcf5542},
+		{"self-avoiding-walk", 3, 800, false, 0xc983bdefe1e35c3c},
+		{"flood", 1, 800, false, 0x1b758c2ac6c7b816},
+		{"flood", 2, 800, false, 0x9d8361f373c32ba5},
+		{"flood", 3, 800, false, 0xab59a8492625c89f},
+		{"random-edge", 1, 800, false, 0x16a4e3ed45f5d9ca},
+		{"random-edge", 2, 800, false, 0xa8fb593185d1f356},
+		{"random-edge", 3, 800, false, 0xb2fcce2075128787},
+		{"degree-greedy-weak", 1, 800, false, 0x443c359919b1579},
+		{"degree-greedy-weak", 2, 800, false, 0xabbbc3a34bcd34f},
+		{"degree-greedy-weak", 3, 800, false, 0xad3fc488a7757371},
+		{"id-greedy-weak", 1, 199, true, 0xac547306b069ae0a},
+		{"id-greedy-weak", 2, 172, true, 0x6a814fc0a3aa2d53},
+		{"id-greedy-weak", 3, 47, true, 0xa1fc47affa305124},
+		{"mixed-greedy(0.50)", 1, 800, false, 0x192da23c8c0e3c0d},
+		{"mixed-greedy(0.50)", 2, 800, false, 0x41fd63f1ca01ad73},
+		{"mixed-greedy(0.50)", 3, 800, false, 0x9672205454cbbc95},
+		{"degree-greedy-strong", 1, 243, true, 0x2243dcc4aad1e687},
+		{"degree-greedy-strong", 2, 243, true, 0x2243dcc4aad1e687},
+		{"degree-greedy-strong", 3, 243, true, 0x2243dcc4aad1e687},
+		{"id-greedy-strong", 1, 153, true, 0x709f822108452e5e},
+		{"id-greedy-strong", 2, 153, true, 0x709f822108452e5e},
+		{"id-greedy-strong", 3, 153, true, 0x709f822108452e5e},
+		{"random-walk-strong", 1, 147, true, 0x2289ae79e1df142a},
+		{"random-walk-strong", 2, 30, true, 0x289851846f53123e},
+		{"random-walk-strong", 3, 611, true, 0xeed2000803b52f53},
+		{"two-phase", 1, 322, true, 0xd1918636d87a6608},
+		{"two-phase", 2, 322, true, 0xd1918636d87a6608},
+		{"two-phase", 3, 322, true, 0xd1918636d87a6608},
+		{"biased-walk(+1.0)", 1, 618, true, 0x4aae521bf71e3bf7},
+		{"biased-walk(+1.0)", 2, 707, false, 0x1c0d744484f802f3},
+		{"biased-walk(+1.0)", 3, 696, false, 0x60a758f551a93cf},
+	}
+	algs := map[string]Algorithm{}
+	for _, a := range allAlgorithms() {
+		algs[a.Name()] = a
+	}
+	for _, w := range want {
+		alg := algs[w.alg]
+		o, err := NewOracleShuffled(g, start, target, alg.Knowledge(), w.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := alg.Search(o, rng.New(w.seed), g.NumVertices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, v := range o.Discovered() {
+			fmt.Fprint(h, v, ",")
+		}
+		if res.Requests != w.requests || res.Found != w.found || h.Sum64() != w.discovery {
+			t.Errorf("%s seed %d: %d requests, found=%v, discovery %#x; want %d, %v, %#x",
+				w.alg, w.seed, res.Requests, res.Found, h.Sum64(), w.requests, w.found, w.discovery)
+		}
 	}
 }

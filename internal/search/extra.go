@@ -3,7 +3,9 @@ package search
 import (
 	"fmt"
 	"math"
+	"sort"
 
+	"scalefree/internal/buf"
 	"scalefree/internal/graph"
 	"scalefree/internal/rng"
 )
@@ -30,22 +32,11 @@ func (*TwoPhase) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, error) 
 	if err := checkModel(NewTwoPhase(), o); err != nil {
 		return Result{}, err
 	}
-	target := int64(o.Target())
-
-	type entry struct {
-		prio int64
-		v    graph.Vertex
-	}
-	byDegree := newHeap(func(a, b entry) bool { return a.prio < b.prio })
-	byLabel := newHeap(func(a, b entry) bool { return a.prio < b.prio })
+	d := o.drivers()
+	byDegree, byLabel := &d.heaps[0], &d.heaps[1]
 	push := func(v graph.Vertex) {
-		view, _ := o.ViewOf(v)
-		byDegree.Push(entry{-int64(view.Degree)<<32 + int64(v), v})
-		d := int64(v) - target
-		if d < 0 {
-			d = -d
-		}
-		byLabel.Push(entry{d<<32 + int64(v), v})
+		byDegree.Push(prioEntry{degreePriority(o, v), v})
+		byLabel.Push(prioEntry{labelPriority(o, v), v})
 	}
 	push(o.Start())
 
@@ -113,7 +104,11 @@ func (w *BiasedWalk) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, err
 	if _, _, err := o.RequestVertex(cur); err != nil {
 		return Result{}, err
 	}
-	var weights []float64
+	// A vertex's neighbour weights never change, so each visited
+	// vertex sums them once and later visits sample in O(log deg).
+	d := o.drivers()
+	d.cumAt = buf.GrowClear(d.cumAt, o.NumVertices()+1)
+	d.cum = d.cum[:0]
 	for steps := 0; !o.Found() && budgetLeft(o, maxRequests) && steps < stepCap(maxRequests); steps++ {
 		view, ok := o.ViewOf(cur)
 		if !ok || view.Resolved == nil {
@@ -122,12 +117,16 @@ func (w *BiasedWalk) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, err
 		if view.Degree == 0 {
 			break
 		}
-		weights = weights[:0]
-		for _, nb := range view.Resolved {
-			nv, _ := o.ViewOf(nb)
-			weights = append(weights, powWeight(nv.Degree, w.bias))
+		if d.cumAt[cur] == 0 {
+			d.cumAt[cur] = int32(len(d.cum)) + 1
+			acc := 0.0
+			for _, nb := range view.Resolved {
+				acc += powWeight(o.views[nb].Degree, w.bias)
+				d.cum = append(d.cum, acc)
+			}
 		}
-		next := view.Resolved[sampleIndex(r, weights)]
+		at := int(d.cumAt[cur]) - 1
+		next := view.Resolved[sampleIndex(r, d.cum[at:at+view.Degree])]
 		if _, _, err := o.RequestVertex(next); err != nil {
 			return Result{}, err
 		}
@@ -149,22 +148,13 @@ func powWeight(d int, bias float64) float64 {
 	return math.Pow(x, bias)
 }
 
-// sampleIndex draws an index proportional to weights (all finite,
-// at least one positive — guaranteed by powWeight >= 0 with max(d,1)).
-func sampleIndex(r *rng.RNG, weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
+// sampleIndex draws an index with probability proportional to its
+// weight, given the prefix sums cum of the weights (all finite, at
+// least one positive — guaranteed by powWeight >= 0 with max(d,1)):
+// the first i with u < cum[i] for u uniform in [0, total).
+func sampleIndex(r *rng.RNG, cum []float64) int {
+	u := r.Float64() * cum[len(cum)-1]
+	return min(sort.Search(len(cum), func(i int) bool { return u < cum[i] }), len(cum)-1)
 }
 
 // MixedGreedy is an ε-mixture of the two weak-model greedy priorities:
@@ -199,64 +189,5 @@ func (m *MixedGreedy) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, er
 	if err := checkModel(m, o); err != nil {
 		return Result{}, err
 	}
-	target := int64(o.Target())
-
-	type entry struct {
-		prio int64
-		v    graph.Vertex
-	}
-	byDegree := newHeap(func(a, b entry) bool { return a.prio < b.prio })
-	byLabel := newHeap(func(a, b entry) bool { return a.prio < b.prio })
-	push := func(v graph.Vertex) {
-		view, _ := o.ViewOf(v)
-		byDegree.Push(entry{-int64(view.Degree)<<32 + int64(v), v})
-		d := int64(v) - target
-		if d < 0 {
-			d = -d
-		}
-		byLabel.Push(entry{d<<32 + int64(v), v})
-	}
-	known := 0
-	for !o.Found() && budgetLeft(o, maxRequests) {
-		for ; known < len(o.Discovered()); known++ {
-			push(o.Discovered()[known])
-		}
-		h := byLabel
-		if r.Bernoulli(m.eps) {
-			h = byDegree
-		}
-		// Pop until a vertex with an unresolved slot surfaces; push the
-		// skipped, still-fresh entries back after the request.
-		var e entry
-		found := false
-		for {
-			var ok bool
-			e, ok = h.Pop()
-			if !ok {
-				break
-			}
-			view, _ := o.ViewOf(e.v)
-			if view.Unresolved > 0 {
-				found = true
-				break
-			}
-		}
-		if !found {
-			break
-		}
-		view, _ := o.ViewOf(e.v)
-		slot := 0
-		for ; slot < view.Degree; slot++ {
-			if view.Resolved[slot] == graph.NoVertex {
-				break
-			}
-		}
-		if _, _, err := o.RequestEdge(e.v, slot); err != nil {
-			return Result{}, err
-		}
-		if view.Unresolved > 0 {
-			h.Push(e)
-		}
-	}
-	return Result{Found: o.Found(), Requests: o.Requests()}, nil
+	return greedyWeak(o, r, maxRequests, degreePriority, labelPriority, m.eps)
 }

@@ -136,7 +136,7 @@ func TestSampleIndexProportions(t *testing.T) {
 	counts := [3]int{}
 	const draws = 90000
 	for i := 0; i < draws; i++ {
-		counts[sampleIndex(r, []float64{1, 2, 3})]++
+		counts[sampleIndex(r, []float64{1, 3, 6})]++ // weights 1, 2, 3
 	}
 	for i, want := range []float64{1.0 / 6, 2.0 / 6, 3.0 / 6} {
 		got := float64(counts[i]) / draws

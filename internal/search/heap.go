@@ -1,67 +1,85 @@
 package search
 
-// heap is a minimal generic binary heap ordered by less (a "less wins"
-// priority queue). It backs the greedy searchers, which need repeated
-// extract-best over the knowledge frontier with lazy invalidation.
-type heap[T any] struct {
-	items []T
-	less  func(a, b T) bool
+import "scalefree/internal/graph"
+
+// prioEntry is one frontier candidate of a greedy searcher: a vertex
+// and its priority, smaller first.
+type prioEntry struct {
+	prio int64
+	v    graph.Vertex
 }
 
-func newHeap[T any](less func(a, b T) bool) *heap[T] {
-	return &heap[T]{less: less}
+// priority ranks a frontier vertex for a greedy searcher; smaller
+// ranks first, and ties break towards older (smaller) identities.
+type priority func(o *Oracle, v graph.Vertex) int64
+
+// degreePriority ranks the highest degree first.
+func degreePriority(o *Oracle, v graph.Vertex) int64 {
+	return -int64(o.views[v].Degree)<<32 + int64(v)
 }
 
-func (h *heap[T]) Len() int { return len(h.items) }
-
-func (h *heap[T]) Push(x T) {
-	h.items = append(h.items, x)
-	h.siftUp(len(h.items) - 1)
-}
-
-// Pop removes and returns the minimum element; ok is false when empty.
-func (h *heap[T]) Pop() (x T, ok bool) {
-	if len(h.items) == 0 {
-		return x, false
+// labelPriority ranks the identity closest to the target first.
+func labelPriority(o *Oracle, v graph.Vertex) int64 {
+	d := int64(v) - int64(o.target)
+	if d < 0 {
+		d = -d
 	}
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	var zero T
-	h.items[last] = zero
-	h.items = h.items[:last]
-	if len(h.items) > 0 {
+	return d<<32 + int64(v)
+}
+
+// prioHeap is a binary min-heap of frontier candidates. It backs the
+// greedy searchers, which need repeated extract-best over the
+// knowledge frontier with lazy invalidation. Its buffer lives in the
+// oracle's driver working set, so warm searches do not allocate.
+type prioHeap []prioEntry
+
+func (h *prioHeap) Push(e prioEntry) {
+	*h = append(*h, e)
+	h.siftUp(len(*h) - 1)
+}
+
+// Pop removes and returns the minimum entry; ok is false when empty.
+func (h *prioHeap) Pop() (e prioEntry, ok bool) {
+	items := *h
+	if len(items) == 0 {
+		return e, false
+	}
+	top := items[0]
+	last := len(items) - 1
+	items[0] = items[last]
+	*h = items[:last]
+	if last > 0 {
 		h.siftDown(0)
 	}
 	return top, true
 }
 
-func (h *heap[T]) siftUp(i int) {
+func (h prioHeap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
+		if h[i].prio >= h[parent].prio {
 			return
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
-func (h *heap[T]) siftDown(i int) {
-	n := len(h.items)
+func (h prioHeap) siftDown(i int) {
+	n := len(h)
 	for {
 		left, right := 2*i+1, 2*i+2
 		best := i
-		if left < n && h.less(h.items[left], h.items[best]) {
+		if left < n && h[left].prio < h[best].prio {
 			best = left
 		}
-		if right < n && h.less(h.items[right], h.items[best]) {
+		if right < n && h[right].prio < h[best].prio {
 			best = right
 		}
 		if best == i {
 			return
 		}
-		h.items[i], h.items[best] = h.items[best], h.items[i]
+		h[i], h[best] = h[best], h[i]
 		i = best
 	}
 }

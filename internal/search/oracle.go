@@ -28,6 +28,8 @@ package search
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"sort"
 
 	"scalefree/internal/buf"
 	"scalefree/internal/graph"
@@ -70,6 +72,27 @@ type View struct {
 	Resolved []graph.Vertex
 	// Unresolved counts the slots still equal to NoVertex.
 	Unresolved int
+	// free is a Fenwick tree over the weak-model unresolved-slot
+	// indicators: free[i-1] counts the unresolved slots in
+	// (i - i&-i, i], 1-based.
+	free []int32
+}
+
+// UnresolvedSlot returns the k-th unresolved slot of a weak-model view,
+// counting from 0 in ascending slot order, in O(log Degree). It
+// returns -1 unless 0 <= k < Unresolved.
+func (v *View) UnresolvedSlot(k int) int {
+	if k < 0 || k >= v.Unresolved {
+		return -1
+	}
+	pos := 0
+	for step := 1 << (bits.Len(uint(len(v.free))) - 1); step > 0; step >>= 1 {
+		if next := pos + step; next <= len(v.free) && int(v.free[next-1]) <= k {
+			pos = next
+			k -= int(v.free[next-1])
+		}
+	}
+	return pos
 }
 
 // Oracle mediates all access of a searching process to the hidden
@@ -339,6 +362,10 @@ func (o *Oracle) discover(v, from graph.Vertex) {
 		Degree:     deg,
 		Resolved:   o.allocVertices(deg),
 		Unresolved: deg,
+		free:       o.allocSlots(deg),
+	}
+	for i := range view.free {
+		view.free[i] = int32((i + 1) & -(i + 1)) // every slot unresolved
 	}
 	o.views[v] = view
 	o.order = append(o.order, v)
@@ -382,25 +409,30 @@ func (o *Oracle) RequestEdge(u graph.Vertex, slot int) (v graph.Vertex, newInfo 
 	return v, true, nil
 }
 
-// resolveSlot marks one slot of a view resolved.
+// resolveSlot marks one slot of a weak-model view resolved.
 func (o *Oracle) resolveSlot(view *View, slot int, w graph.Vertex) {
 	if view.Resolved[slot] == graph.NoVertex {
 		view.Resolved[slot] = w
 		view.Unresolved--
+		for i := slot + 1; i <= len(view.free); i += i & -i {
+			view.free[i-1]--
+		}
 	}
 }
 
 // resolveReverse resolves, in v's view, every slot carrying the given
-// edge (both halves for a self-loop).
+// edge (both halves for a self-loop). A graph lists each vertex's
+// halves in edge-ID order, so a lower-bound search finds them in
+// O(log deg).
 func (o *Oracle) resolveReverse(v graph.Vertex, e graph.EdgeID, far graph.Vertex) {
 	view := o.views[v]
 	if view == nil {
 		return
 	}
-	for phys, h := range o.g.Incident(v) {
-		if h.Edge == e {
-			o.resolveSlot(view, o.visSlot(v, phys), far)
-		}
+	inc := o.g.Incident(v)
+	phys := sort.Search(len(inc), func(i int) bool { return inc[i].Edge >= e })
+	for ; phys < len(inc) && inc[phys].Edge == e; phys++ {
+		o.resolveSlot(view, o.visSlot(v, phys), far)
 	}
 }
 

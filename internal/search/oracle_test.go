@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scalefree/internal/graph"
+	"scalefree/internal/rng"
 )
 
 // pathGraph returns the path 1-2-...-n (edges oriented k+1 -> k).
@@ -341,5 +342,89 @@ func TestViewSharedStateIsConsistent(t *testing.T) {
 	}
 	if got := len(o.Discovered()); got != 2 {
 		t.Fatalf("discovered = %d, want 2", got)
+	}
+}
+
+// TestWeakLookupsMatchLinearReference drives random weak-model request
+// sequences over multigraphs with self-loops and parallel edges, and
+// checks the oracle's O(log deg) paths against linear scans: every
+// view's resolved slots against a reference that finds reverse halves
+// by scanning the whole incidence list, and UnresolvedSlot(k) against
+// the k-th unresolved slot counted from slot 0.
+func TestWeakLookupsMatchLinearReference(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		n := 2 + r.Intn(20)
+		b := graph.NewBuilder(n, 4*n)
+		b.AddVertices(n)
+		for e := 0; e < 4*n; e++ {
+			u := graph.Vertex(1 + r.Intn(n))
+			v := graph.Vertex(1 + r.Intn(n))
+			if r.Bernoulli(0.3) {
+				v = 1 // a hub collecting parallel edges
+			}
+			if r.Bernoulli(0.1) {
+				v = u
+			}
+			b.AddEdge(u, v)
+		}
+		g := b.Freeze()
+		o, err := NewOracleShuffled(g, 1, graph.Vertex(n), Weak, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[graph.Vertex][]graph.Vertex{}
+		expect := func(v graph.Vertex) []graph.Vertex {
+			if want[v] == nil {
+				want[v] = make([]graph.Vertex, g.Degree(v))
+			}
+			return want[v]
+		}
+		expect(1)
+		for step := 0; step < 8*n; step++ {
+			u := o.Discovered()[r.Intn(len(o.Discovered()))]
+			if g.Degree(u) == 0 {
+				continue
+			}
+			slot := r.Intn(g.Degree(u))
+			v, _, err := o.RequestEdge(u, slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := g.HalfAt(u, o.physSlot(u, slot)).Edge
+			expect(u)[slot] = v
+			for phys, h := range g.Incident(v) {
+				if h.Edge == e {
+					expect(v)[o.visSlot(v, phys)] = u
+				}
+			}
+			for w, res := range want {
+				view, ok := o.ViewOf(w)
+				if !ok {
+					t.Fatalf("seed %d: vertex %d has no view", seed, w)
+				}
+				var fresh []int
+				for s, x := range res {
+					if view.Resolved[s] != x {
+						t.Fatalf("seed %d step %d: vertex %d slot %d = %d, linear reference %d",
+							seed, step, w, s, view.Resolved[s], x)
+					}
+					if x == graph.NoVertex {
+						fresh = append(fresh, s)
+					}
+				}
+				if view.Unresolved != len(fresh) {
+					t.Fatalf("seed %d: vertex %d Unresolved = %d, want %d", seed, w, view.Unresolved, len(fresh))
+				}
+				for k, s := range fresh {
+					if got := view.UnresolvedSlot(k); got != s {
+						t.Fatalf("seed %d: vertex %d UnresolvedSlot(%d) = %d, want %d", seed, w, k, got, s)
+					}
+				}
+				if view.UnresolvedSlot(-1) != -1 || view.UnresolvedSlot(len(fresh)) != -1 {
+					t.Fatalf("seed %d: vertex %d UnresolvedSlot out of range did not return -1", seed, w)
+				}
+			}
+		}
 	}
 }

@@ -8,11 +8,12 @@ import (
 
 // Scratch holds the reusable state of one search worker: a persistent
 // Oracle whose vertex-indexed tables are cleared and reused search to
-// search, the slot-permutation shuffler, and slab arenas for the
-// per-vertex slices the oracle hands out. One scratch serves one
-// oracle at a time; constructing a new oracle with the same scratch
-// invalidates the previous one. After a warm-up search, repeated
-// searches over same-size graphs allocate nothing.
+// search, the slot-permutation shuffler, slab arenas for the
+// per-vertex slices the oracle hands out, and the working sets of the
+// algorithm searching it. One scratch serves one oracle at a time;
+// constructing a new oracle with the same scratch invalidates the
+// previous one. After a warm-up search, repeated searches over
+// same-size graphs allocate nothing, in the oracle or in Search.
 //
 // Scratch is memory reuse only: a search through a scratch-backed
 // oracle behaves bit-identically to one through a fresh oracle.
@@ -23,6 +24,39 @@ type Scratch struct {
 	viewSlab   slab[View]
 	slotSlab   slab[int32]
 	vertexSlab slab[graph.Vertex]
+
+	drivers driverScratch
+}
+
+// driverScratch holds the search algorithms' own working sets, reused
+// search to search through a Scratch: the greedy frontier heaps,
+// RandomEdge's pool of unresolved slots, and BiasedWalk's per-vertex
+// prefix sums of neighbour weights.
+type driverScratch struct {
+	heaps [2]prioHeap
+	pool  []slotRef
+	// cumAt[v] is 1 + the offset of v's prefix sums in cum, 0 while
+	// not built yet; vertex-indexed.
+	cumAt []int32
+	cum   []float64
+}
+
+// slotRef names one edge slot of a discovered vertex.
+type slotRef struct {
+	v    graph.Vertex
+	slot int32
+}
+
+// drivers returns the emptied working sets for the algorithm searching
+// o: the scratch's when o is scratch-backed, fresh ones otherwise.
+func (o *Oracle) drivers() *driverScratch {
+	if o.scratch == nil {
+		return &driverScratch{}
+	}
+	d := &o.scratch.drivers
+	d.heaps[0], d.heaps[1] = d.heaps[0][:0], d.heaps[1][:0]
+	d.pool = d.pool[:0]
+	return d
 }
 
 // slab is a bump allocator handing out zeroed sub-slices of one backing

@@ -102,7 +102,9 @@ func TestOracleScratchMatchesFresh(t *testing.T) {
 
 // TestOracleScratchAllocFree pins the steady state: after warm-up
 // searches over a fixed-size graph, a full weak-model exploration
-// through a scratch-backed oracle allocates nothing.
+// through a scratch-backed oracle allocates nothing, and neither does
+// any algorithm's Search: the drivers' working sets live in the
+// scratch too.
 func TestOracleScratchAllocFree(t *testing.T) {
 	g := scratchTestGraph(t, 200, 7)
 	target := graph.Vertex(g.NumVertices())
@@ -120,5 +122,29 @@ func TestOracleScratchAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
 		t.Errorf("steady-state scratch-backed weak search allocates %v times per run, want 0", allocs)
+	}
+
+	algs := append(WeakAlgorithms(), StrongAlgorithms()...)
+	if len(algs) != 12 {
+		t.Fatalf("%d algorithms, want all 12", len(algs))
+	}
+	var r rng.RNG
+	for _, alg := range algs {
+		search := func() {
+			o, err := NewOracleShuffledScratch(g, 1, target, alg.Knowledge(), 3, &s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Reseed(11)
+			if _, err := alg.Search(o, &r, g.NumVertices()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			search()
+		}
+		if allocs := testing.AllocsPerRun(10, search); allocs > 0 {
+			t.Errorf("%s: steady-state Search allocates %v times per run, want 0", alg.Name(), allocs)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package search
 import (
 	"fmt"
 
-	"scalefree/internal/graph"
 	"scalefree/internal/rng"
 )
 
@@ -29,9 +28,7 @@ func (*DegreeGreedyStrong) Search(o *Oracle, r *rng.RNG, maxRequests int) (Resul
 	if err := checkModel(NewDegreeGreedyStrong(), o); err != nil {
 		return Result{}, err
 	}
-	return greedyStrong(o, maxRequests, func(v graph.Vertex, deg int) int64 {
-		return -int64(deg)<<32 + int64(v)
-	})
+	return greedyStrong(o, maxRequests, degreePriority)
 }
 
 // IDGreedyStrong requests the visible vertex whose identity is closest
@@ -53,30 +50,15 @@ func (*IDGreedyStrong) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, e
 	if err := checkModel(NewIDGreedyStrong(), o); err != nil {
 		return Result{}, err
 	}
-	target := int64(o.Target())
-	return greedyStrong(o, maxRequests, func(v graph.Vertex, deg int) int64 {
-		d := int64(v) - target
-		if d < 0 {
-			d = -d
-		}
-		return d<<32 + int64(v)
-	})
+	return greedyStrong(o, maxRequests, labelPriority)
 }
 
 // greedyStrong repeatedly requests the visible vertex minimizing
 // priority, with lazy invalidation of frontier entries that were
 // requested meanwhile.
-func greedyStrong(o *Oracle, maxRequests int, priority func(v graph.Vertex, deg int) int64) (Result, error) {
-	type entry struct {
-		prio int64
-		v    graph.Vertex
-	}
-	h := newHeap(func(a, b entry) bool { return a.prio < b.prio })
-	push := func(v graph.Vertex) {
-		view, _ := o.ViewOf(v)
-		h.Push(entry{priority(v, view.Degree), v})
-	}
-	push(o.Start())
+func greedyStrong(o *Oracle, maxRequests int, prio priority) (Result, error) {
+	h := &o.drivers().heaps[0]
+	h.Push(prioEntry{prio(o, o.Start()), o.Start()})
 	for !o.Found() && budgetLeft(o, maxRequests) {
 		e, ok := h.Pop()
 		if !ok {
@@ -91,7 +73,7 @@ func greedyStrong(o *Oracle, maxRequests int, priority func(v graph.Vertex, deg 
 		}
 		for _, w := range neighbors {
 			if o.IsVisible(w) {
-				push(w)
+				h.Push(prioEntry{prio(o, w), w})
 			}
 		}
 	}

@@ -67,7 +67,6 @@ func (*SelfAvoidingWalk) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result,
 		return Result{}, err
 	}
 	cur := o.Start()
-	var fresh []int
 	for steps := 0; !o.Found() && budgetLeft(o, maxRequests) && steps < stepCap(maxRequests); steps++ {
 		view, ok := o.ViewOf(cur)
 		if !ok {
@@ -76,15 +75,9 @@ func (*SelfAvoidingWalk) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result,
 		if view.Degree == 0 {
 			break
 		}
-		fresh = fresh[:0]
-		for slot, w := range view.Resolved {
-			if w == graph.NoVertex {
-				fresh = append(fresh, slot)
-			}
-		}
 		var slot int
-		if len(fresh) > 0 {
-			slot = fresh[r.Intn(len(fresh))]
+		if view.Unresolved > 0 {
+			slot = view.UnresolvedSlot(r.Intn(view.Unresolved))
 		} else {
 			slot = r.Intn(view.Degree)
 		}
@@ -155,37 +148,30 @@ func (*RandomEdge) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, error
 	if err := checkModel(NewRandomEdge(), o); err != nil {
 		return Result{}, err
 	}
-	type slotRef struct {
-		v    graph.Vertex
-		slot int
-	}
-	var pool []slotRef
-	addVertex := func(v graph.Vertex) {
-		view, _ := o.ViewOf(v)
-		for slot, w := range view.Resolved {
-			if w == graph.NoVertex {
-				pool = append(pool, slotRef{v, slot})
-			}
-		}
-	}
+	d := o.drivers()
 	known := 0
 	for !o.Found() && budgetLeft(o, maxRequests) {
 		for ; known < len(o.Discovered()); known++ {
-			addVertex(o.Discovered()[known])
+			v := o.Discovered()[known]
+			for slot, w := range o.views[v].Resolved {
+				if w == graph.NoVertex {
+					d.pool = append(d.pool, slotRef{v, int32(slot)})
+				}
+			}
 		}
 		// Lazy deletion: drop stale references (slots resolved from the
 		// far side) as they surface.
 		found := false
-		for len(pool) > 0 {
-			i := r.Intn(len(pool))
-			ref := pool[i]
-			pool[i] = pool[len(pool)-1]
-			pool = pool[:len(pool)-1]
+		for len(d.pool) > 0 {
+			i, last := r.Intn(len(d.pool)), len(d.pool)-1
+			ref := d.pool[i]
+			d.pool[i] = d.pool[last]
+			d.pool = d.pool[:last]
 			view, _ := o.ViewOf(ref.v)
 			if view.Resolved[ref.slot] != graph.NoVertex {
 				continue
 			}
-			if _, _, err := o.RequestEdge(ref.v, ref.slot); err != nil {
+			if _, _, err := o.RequestEdge(ref.v, int(ref.slot)); err != nil {
 				return Result{}, err
 			}
 			found = true
@@ -219,10 +205,7 @@ func (*DegreeGreedyWeak) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result,
 	if err := checkModel(NewDegreeGreedyWeak(), o); err != nil {
 		return Result{}, err
 	}
-	return greedyWeak(o, maxRequests, func(v graph.Vertex, deg int) int64 {
-		// Max degree first; ties to older (smaller) identities.
-		return -int64(deg)<<32 + int64(v)
-	})
+	return greedyWeak(o, nil, maxRequests, degreePriority, nil, 0)
 }
 
 // IDGreedyWeak spends its next request on the discovered vertex whose
@@ -246,51 +229,43 @@ func (*IDGreedyWeak) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, err
 	if err := checkModel(NewIDGreedyWeak(), o); err != nil {
 		return Result{}, err
 	}
-	target := int64(o.Target())
-	return greedyWeak(o, maxRequests, func(v graph.Vertex, deg int) int64 {
-		d := int64(v) - target
-		if d < 0 {
-			d = -d
-		}
-		return d<<32 + int64(v)
-	})
+	return greedyWeak(o, nil, maxRequests, labelPriority, nil, 0)
 }
 
 // greedyWeak is the shared engine of the weak-model greedy searchers:
-// repeatedly pick the discovered vertex minimizing priority among those
-// with unresolved slots, and resolve its first unresolved slot.
-func greedyWeak(o *Oracle, maxRequests int, priority func(v graph.Vertex, deg int) int64) (Result, error) {
-	type entry struct {
-		prio int64
-		v    graph.Vertex
-	}
-	h := newHeap(func(a, b entry) bool { return a.prio < b.prio })
+// repeatedly pick the discovered vertex minimizing a priority among
+// those with unresolved slots, and resolve its first unresolved slot.
+// Given a second priority (mixed greedy), each request first draws
+// from r which frontier to serve: the first with probability eps, else
+// the second. With one priority r is never drawn.
+func greedyWeak(o *Oracle, r *rng.RNG, maxRequests int, first, second priority, eps float64) (Result, error) {
+	d := o.drivers()
+	prios := [2]priority{first, second}
 	known := 0
 	for !o.Found() && budgetLeft(o, maxRequests) {
 		for ; known < len(o.Discovered()); known++ {
 			v := o.Discovered()[known]
-			view, _ := o.ViewOf(v)
-			h.Push(entry{priority(v, view.Degree), v})
-		}
-		e, ok := h.Pop()
-		if !ok {
-			break // everything resolved: component exhausted
-		}
-		view, _ := o.ViewOf(e.v)
-		if view.Unresolved == 0 {
-			continue // stale entry
-		}
-		slot := 0
-		for ; slot < view.Degree; slot++ {
-			if view.Resolved[slot] == graph.NoVertex {
-				break
+			for i, prio := range prios {
+				if prio != nil {
+					d.heaps[i].Push(prioEntry{prio(o, v), v})
+				}
 			}
 		}
-		if _, _, err := o.RequestEdge(e.v, slot); err != nil {
-			return Result{}, err
+		h := &d.heaps[0]
+		if second != nil && !r.Bernoulli(eps) {
+			h = &d.heaps[1]
 		}
-		if view.Unresolved > 0 {
-			h.Push(e) // still has slots: stays a candidate
+		// The best vertex stays on the heap while it has unresolved
+		// slots; entries whose slots all resolved drop off here.
+		for len(*h) > 0 && o.views[(*h)[0].v].Unresolved == 0 {
+			h.Pop()
+		}
+		if len(*h) == 0 {
+			break // everything resolved: component exhausted
+		}
+		v := (*h)[0].v
+		if _, _, err := o.RequestEdge(v, o.views[v].UnresolvedSlot(0)); err != nil {
+			return Result{}, err
 		}
 	}
 	return Result{Found: o.Found(), Requests: o.Requests()}, nil
