@@ -44,14 +44,16 @@ bench:
 # the generator ablations (endpoint array vs Fenwick reference; the
 # fitness/geopa rejection samplers), the per-model registry generation
 # sweep (every registered family), the distribution layer (shard
-# merge, warm-cache re-reduce, coordinator dispatch overhead), and the
-# observability tax (instrumented vs bare trial loop), in
+# merge, warm-cache re-reduce, coordinator dispatch overhead), the
+# observability tax (instrumented vs bare trial loop), and the E4 Monte
+# Carlo (generator replay vs tree-building reference, ns/vertex, in
+# internal/equivalence), in
 # `go test -json` event format, one JSON object per line. Commit the
 # refreshed BENCH_gen.json whenever a PR moves these numbers.
 bench-json:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkExperimentWorkers|BenchmarkGenerateMori|BenchmarkGenerateCooperFrieze|BenchmarkGenerateFitness|BenchmarkGenerateGeoPA|BenchmarkGenerateModels|BenchmarkBFSParallel|BenchmarkSnapshotOpen|BenchmarkShardMerge|BenchmarkCacheHit|BenchmarkCoordinatorDispatch|BenchmarkMetricsOverhead|BenchmarkTraceOverhead' \
-		-benchtime 3x -json . > BENCH_gen.json
+		-bench 'BenchmarkExperimentWorkers|BenchmarkGenerateMori|BenchmarkGenerateCooperFrieze|BenchmarkGenerateFitness|BenchmarkGenerateGeoPA|BenchmarkGenerateModels|BenchmarkBFSParallel|BenchmarkSnapshotOpen|BenchmarkShardMerge|BenchmarkCacheHit|BenchmarkCoordinatorDispatch|BenchmarkMetricsOverhead|BenchmarkTraceOverhead|BenchmarkMonteCarloEventProb' \
+		-benchtime 3x -json . ./internal/equivalence > BENCH_gen.json
 
 # bench-smoke is the CI-sized benchmark pass: every benchmark once at
 # -short sizes, output discarded — it only has to not crash.

@@ -121,8 +121,11 @@ func isqrt(x int) int {
 	return r
 }
 
-// MonteCarloEventProb estimates P(E_{a,b}) by generating trees of size
-// b and counting. It returns the estimate and its standard error.
+// MonteCarloEventProb estimates P(E_{a,b}) over reps Móri trees of
+// size b and returns the estimate and its standard error. It replays
+// the generator's draws (mori.EventReplay) instead of building the
+// trees: the RNG advances exactly as reps calls to mori.GenerateTree
+// would, and the hit count is the one CheckEvent would give on them.
 func MonteCarloEventProb(r *rng.RNG, p float64, a, b, reps int) (estimate, stderr float64, err error) {
 	if reps < 1 {
 		return 0, 0, fmt.Errorf("equivalence: reps = %d < 1", reps)
@@ -130,17 +133,13 @@ func MonteCarloEventProb(r *rng.RNG, p float64, a, b, reps int) (estimate, stder
 	if err := validateWindow(a, b, b); err != nil {
 		return 0, 0, err
 	}
+	replay, err := mori.NewEventReplay(b, p, a)
+	if err != nil {
+		return 0, 0, err
+	}
 	hits := 0
 	for i := 0; i < reps; i++ {
-		t, err := mori.GenerateTree(r, b, p)
-		if err != nil {
-			return 0, 0, err
-		}
-		ok, err := CheckEvent(t, a, b)
-		if err != nil {
-			return 0, 0, err
-		}
-		if ok {
+		if replay.Next(r) {
 			hits++
 		}
 	}

@@ -178,12 +178,29 @@ func TestLemma1BoundScalesAsSqrtN(t *testing.T) {
 	}
 }
 
+// TestMonteCarloValidation pins every input error: the replay must
+// reject exactly what the tree-building reference rejects, with the
+// same message.
 func TestMonteCarloValidation(t *testing.T) {
-	if _, _, err := MonteCarloEventProb(rng.New(1), 0.5, 5, 8, 0); err == nil {
-		t.Error("zero reps accepted")
-	}
-	if _, _, err := MonteCarloEventProb(rng.New(1), 0.5, 0, 8, 10); err == nil {
-		t.Error("bad window accepted")
+	for _, tc := range []struct {
+		p          float64
+		a, b, reps int
+	}{
+		{0.5, 5, 8, 0},
+		{0.5, 5, 8, -3},
+		{0.5, 0, 8, 10},
+		{0.5, 9, 8, 10},
+		{0.5, 1, 1, 10}, // a tree needs two vertices
+		{-0.1, 5, 8, 10},
+		{1.5, 5, 8, 10},
+		{math.NaN(), 5, 8, 10},
+		{math.Inf(1), 5, 8, 10},
+	} {
+		_, _, err := MonteCarloEventProb(rng.New(1), tc.p, tc.a, tc.b, tc.reps)
+		_, _, want := referenceMonteCarloEventProb(rng.New(1), tc.p, tc.a, tc.b, tc.reps)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("p=%v a=%d b=%d reps=%d: error %v, reference %v", tc.p, tc.a, tc.b, tc.reps, err, want)
+		}
 	}
 }
 

@@ -34,12 +34,15 @@
 // zero with a Scratch). GenerateTreeFenwick keeps the historical
 // O(n log n) Fenwick-tree path as the reference implementation the
 // production sampler is validated against (chi-square equivalence in
-// the tests, BenchmarkGenerateMori for the speedup).
+// the tests, BenchmarkGenerateMori for the speedup). EventReplay
+// decides the equivalence event E_{a,b} on the tree GenerateTree would
+// draw without building it, consuming the same random draws.
 package mori
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"scalefree/internal/buf"
 	"scalefree/internal/graph"
@@ -74,17 +77,25 @@ func GenerateTree(r *rng.RNG, size int, p float64) (*Tree, error) {
 // with a fresh draw, recording every attachment endpoint in ends. The
 // endpoint array holds one entry per indegree hit, so a uniform draw
 // from it is exactly the indegree-proportional draw of the model.
+//
+// Draw-order contract (EventReplay depends on it): vertex k = 3..size
+// takes one Float64 coin, then either Intn(k-2) (preferential, an index
+// into ends) or IntRange(1, k-1) (uniform). Which one depends only on
+// the coin, never on the tree drawn so far, so the sequence of RNG
+// calls is fixed by (size, p) and the coins. Each of those bounded
+// draws is one Uint64 unless Lemire's rejection step may fire (low
+// product word below the bound n, probability n/2⁶⁴), so a tree almost
+// always consumes exactly 2(size-2) outputs. Changing the order or
+// number of draws here changes every seed's output and must change
+// EventReplay in the same commit.
 func generateTree(r *rng.RNG, size int, p float64, fathers []graph.Vertex, ends *weights.EndpointArray) {
 	fathers[0], fathers[1] = 0, 0
 	fathers[2] = 1
 	ends.Record(1) // the initial edge 2 → 1
 	for k := 3; k <= size; k++ {
-		// Before inserting vertex k there are k-1 vertices and k-2
-		// edges, so the total attachment weight is p(k-2) + (1-p)(k-1).
-		prefMass := p * float64(k-2)
-		unifMass := (1 - p) * float64(k-1)
+		prefMass, total := coinMasses(p, k)
 		var u graph.Vertex
-		if r.Float64()*(prefMass+unifMass) < prefMass {
+		if r.Float64()*total < prefMass {
 			u = graph.Vertex(ends.Sample(r))
 		} else {
 			u = graph.Vertex(r.IntRange(1, k-1))
@@ -92,6 +103,174 @@ func generateTree(r *rng.RNG, size int, p float64, fathers []graph.Vertex, ends 
 		fathers[k] = u
 		ends.Record(int32(u))
 	}
+}
+
+// coinMasses returns vertex k's coin operands: the preferential mass
+// p(k-2) and the total attachment weight p(k-2) + (1-p)(k-1) over the
+// k-1 vertices and k-2 edges present before k arrives. The explicit
+// float64 conversions round each product on its own: the Go spec lets
+// a compiler fuse p·x + (1-p)·y into one FMA (arm64 does), which would
+// round differently from the separate products and could split the
+// generators and EventReplay's threshold table. Both call this helper.
+func coinMasses(p float64, k int) (pref, total float64) {
+	pref = float64(p * float64(k-2))
+	unif := float64((1 - p) * float64(k-1))
+	return pref, pref + unif
+}
+
+// EventReplay decides the window event E_{a,b} = {Father(k) <= a for
+// every a < k <= b} on trees of size b without building them. Each
+// Next call consumes the RNG exactly as GenerateTree(r, b, p) would and
+// reports whether the tree that call would have drawn satisfies the
+// event, so a Monte Carlo loop over Next is bit-identical to one over
+// GenerateTree with the same seed, at a fraction of the cost.
+//
+// It rests on generateTree's draw-order contract plus one observation:
+// while the event holds, every edge so far points into [1, a], so a
+// preferential draw lands in [1, a] and cannot break it. The event
+// therefore fails exactly at the first uniform draw 1+Intn(k-1) > a of
+// a window vertex. Vertices up to a+1 still take their two draws but
+// can never fail it, since their uniform draws stay below k.
+type EventReplay struct {
+	size, a int
+	p       float64
+	// thresholds[k-3] is the number of 53-bit coin values m for which
+	// vertex k takes the preferential branch (coinThreshold).
+	thresholds []uint64
+	// fallback serves the reps whose draws hit Lemire's rejection
+	// step; it stays empty until the first such rep.
+	fallback Scratch
+	// forceFallback makes every rep take the fallback path; only the
+	// package's tests set it, since a real rejection is too rare to
+	// sample.
+	forceFallback bool
+	buf           [2 * replayChunk]uint64
+}
+
+// replayChunk is the number of vertices EventReplay decodes per Fill;
+// the 2·replayChunk draws of one chunk fit in L1.
+const replayChunk = 256
+
+// NewEventReplay prepares the replay of GenerateTree(r, size, p) for
+// the event with window start a (1 <= a <= size). It validates size and
+// p exactly as GenerateTree does.
+func NewEventReplay(size int, p float64, a int) (*EventReplay, error) {
+	if size < 2 {
+		return nil, fmt.Errorf("mori: tree size %d < 2", size)
+	}
+	if err := validateP(p); err != nil {
+		return nil, err
+	}
+	if a < 1 || a > size {
+		return nil, fmt.Errorf("mori: event window start %d outside [1, %d]", a, size)
+	}
+	e := &EventReplay{size: size, a: a, p: p, thresholds: make([]uint64, size-2)}
+	for k := 3; k <= size; k++ {
+		e.thresholds[k-3] = coinThreshold(coinMasses(p, k))
+	}
+	return e, nil
+}
+
+// coinThreshold turns the coin test Float64()·total < pref into an
+// integer one. Float64 returns m·2⁻⁵³ for the top 53 bits m of a draw,
+// and fl(m·2⁻⁵³·total) is monotone in m, so the preferential branch is
+// taken exactly for m below the returned threshold. The quotient
+// pref/total lands within a few units of it; the search brackets that
+// guess by doubling steps and then bisects, testing every candidate
+// with the generator's own float expression (prefCoin).
+func coinThreshold(pref, total float64) uint64 {
+	const end = uint64(1) << 53
+	guess := uint64(min(pref/total, 1) * (1 << 53))
+	// Invariant: the threshold lies in [lo, hi].
+	lo, hi := guess, guess
+	for step := uint64(1); lo > 0 && !prefCoin(lo-1, pref, total); step *= 2 {
+		lo -= min(step, lo)
+	}
+	for step := uint64(1); hi < end && prefCoin(hi, pref, total); step *= 2 {
+		hi = min(hi+step, end)
+	}
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if prefCoin(mid, pref, total) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// prefCoin reports whether the coin whose Float64 is m·2⁻⁵³ takes the
+// preferential branch, by generateTree's comparison.
+func prefCoin(m uint64, pref, total float64) bool {
+	return float64(m)/(1<<53)*total < pref
+}
+
+// Next draws one tree's worth of randomness from r, exactly as
+// GenerateTree(r, size, p) would, and reports whether that tree
+// satisfies the event. It allocates nothing, except on the first rep
+// whose draws hit a rejection, which it re-runs through GenerateTree's
+// own code from the saved RNG state.
+//
+//sf:hotpath
+func (e *EventReplay) Next(r *rng.RNG) bool {
+	saved := *r
+	var failed, rejected uint64
+	for i := 0; i < len(e.thresholds); i += replayChunk {
+		thr := e.thresholds[i:min(i+replayChunk, len(e.thresholds))]
+		draws := e.buf[:2*len(thr)]
+		r.Fill(draws)
+		f, rej := scanDraws(draws, thr, uint64(i+3), uint64(e.a))
+		failed |= f
+		rejected |= rej
+	}
+	if rejected == 0 && !e.forceFallback {
+		return failed == 0
+	}
+	*r = saved
+	// NewEventReplay validated size and p, so this cannot fail.
+	t, _ := GenerateTreeScratch(r, e.size, e.p, &e.fallback)
+	for k := e.a + 1; k <= e.size; k++ {
+		if int(t.Fathers[k]) > e.a {
+			return false
+		}
+	}
+	return true
+}
+
+// scanDraws decodes the coin and bounded draws of vertices k0,
+// k0+1, ... from draws (two per vertex, in generateTree's order),
+// branch-free. failed is 1 when some uniform draw attaches a vertex
+// above a, which can only happen inside the window; rejected is 1 when
+// some bounded draw's low product word is below its bound, the only
+// case in which Uint64n may consume more than one output.
+//
+//sf:hotpath
+func scanDraws(draws, thresholds []uint64, k0, a uint64) (failed, rejected uint64) {
+	draws = draws[:2*len(thresholds)]
+	n := k0 - 1 // vertex k0's uniform bound; its preferential one is n-1
+	j := 0
+	// Up to vertex a+1 (n <= a) a uniform father 1+Intn(n) is at most
+	// a, so only the rejection check is needed.
+	for ; j < len(thresholds) && n <= a; j++ {
+		d := draws[2*j : 2*j+2]
+		bound := n - (d[0]>>11-thresholds[j])>>63
+		_, rej := bits.Sub64(d[1]*bound, bound, 0)
+		rejected |= rej
+		n++
+	}
+	for ; j < len(thresholds); j++ {
+		d := draws[2*j : 2*j+2]
+		pref := (d[0]>>11 - thresholds[j]) >> 63 // 1 iff coin < thr; both < 2⁶³
+		bound := n - pref
+		hi, lo := bits.Mul64(d[1], bound)
+		_, rej := bits.Sub64(lo, bound, 0)
+		_, below := bits.Sub64(hi, a, 0)
+		rejected |= rej
+		failed |= ^(pref | below) & 1
+		n++
+	}
+	return failed, rejected
 }
 
 // GenerateTreeFenwick is the historical O(n log n) generator drawing
@@ -113,10 +292,9 @@ func GenerateTreeFenwick(r *rng.RNG, size int, p float64) (*Tree, error) {
 	indeg := weights.NewFenwick(size)
 	indeg.Add(1, 1) // the initial edge 2 → 1
 	for k := 3; k <= size; k++ {
-		prefMass := p * float64(k-2)
-		unifMass := (1 - p) * float64(k-1)
+		prefMass, total := coinMasses(p, k)
 		var u graph.Vertex
-		if r.Float64()*(prefMass+unifMass) < prefMass {
+		if r.Float64()*total < prefMass {
 			u = graph.Vertex(indeg.Sample(r))
 		} else {
 			u = graph.Vertex(r.IntRange(1, k-1))

@@ -79,6 +79,26 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
+// Fill overwrites dst with the next len(dst) outputs, exactly the
+// values that len(dst) calls to Uint64 would return, and leaves the
+// generator in the same state those calls would. It keeps the state in
+// locals for the whole loop, so bulk consumers (mori.EventReplay) pay
+// no call or memory round trip per draw.
+func (r *RNG) Fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		dst[i] = bits.RotateLeft64(s0+s3, 23) + s0
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Uint64n returns a uniform integer in [0, n). It panics if n == 0.
 // It uses Lemire's nearly-divisionless bounded rejection method, so the
 // result is exactly uniform.

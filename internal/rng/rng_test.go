@@ -308,3 +308,21 @@ func TestReseedMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+func TestFillMatchesUint64(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 10000} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			filled, called := New(seed), New(seed)
+			dst := make([]uint64, n)
+			filled.Fill(dst)
+			for i, got := range dst {
+				if want := called.Uint64(); got != want {
+					t.Fatalf("n=%d seed=%d: Fill[%d] = %d, Uint64 = %d", n, seed, i, got, want)
+				}
+			}
+			if filled.s != called.s {
+				t.Fatalf("n=%d seed=%d: state after Fill %v, after Uint64 calls %v", n, seed, filled.s, called.s)
+			}
+		}
+	}
+}
