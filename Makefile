@@ -47,13 +47,15 @@ bench:
 # merge, warm-cache re-reduce, coordinator dispatch overhead), the
 # observability tax (instrumented vs bare trial loop), and the E4 Monte
 # Carlo (generator replay vs tree-building reference, ns/vertex, in
-# internal/equivalence), in
+# internal/equivalence; its regex also matches the Cooper–Frieze
+# BenchmarkMonteCarloEventProbCF), and the result cache's cold-Put and
+# warm-Get cost per trial (BenchmarkCachePut, in internal/sweep), in
 # `go test -json` event format, one JSON object per line. Commit the
 # refreshed BENCH_gen.json whenever a PR moves these numbers.
 bench-json:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkExperimentWorkers|BenchmarkGenerateMori|BenchmarkGenerateCooperFrieze|BenchmarkGenerateFitness|BenchmarkGenerateGeoPA|BenchmarkGenerateModels|BenchmarkBFSParallel|BenchmarkSnapshotOpen|BenchmarkShardMerge|BenchmarkCacheHit|BenchmarkCoordinatorDispatch|BenchmarkMetricsOverhead|BenchmarkTraceOverhead|BenchmarkMonteCarloEventProb' \
-		-benchtime 3x -json . ./internal/equivalence > BENCH_gen.json
+		-bench 'BenchmarkExperimentWorkers|BenchmarkGenerateMori|BenchmarkGenerateCooperFrieze|BenchmarkGenerateFitness|BenchmarkGenerateGeoPA|BenchmarkGenerateModels|BenchmarkBFSParallel|BenchmarkSnapshotOpen|BenchmarkShardMerge|BenchmarkCacheHit|BenchmarkCoordinatorDispatch|BenchmarkMetricsOverhead|BenchmarkTraceOverhead|BenchmarkMonteCarloEventProb|BenchmarkCachePut' \
+		-benchtime 3x -json . ./internal/equivalence ./internal/sweep > BENCH_gen.json
 
 # bench-smoke is the CI-sized benchmark pass: every benchmark once at
 # -short sizes, output discarded — it only has to not crash.

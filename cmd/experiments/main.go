@@ -40,8 +40,9 @@
 // such a coordinator, executing leased chunks through the local
 // -workers pool and optional -cache. Every process must use the same
 // binary, -run, -seed, and -scale; the plan fingerprint enforces this.
-// -cache-gc fingerprint deletes a finished or abandoned run's entries
-// (plus crashed writers' temp files) from -cache.
+// -cache-gc fingerprint deletes a finished or abandoned run's segments
+// from -cache, plus every file there that is not a valid segment (old
+// per-entry files, crashed writers' temp files).
 //
 // Robustness (DESIGN.md §6.6): -auth-key authenticates every
 // coordinator/worker handshake by shared-key HMAC challenge–response —
@@ -54,8 +55,8 @@
 // worker's consecutive failed connection attempts; within the bound the
 // worker rides out coordinator restarts and partitions with jittered
 // exponential backoff. -cache-max-bytes evicts least-recently-used
-// -cache entries down to the given size after a successful run, never
-// touching entries the run itself wrote or read. -chaos n wraps every
+// -cache segments down to the given size after a successful run, never
+// touching segments the run itself wrote or read. -chaos n wraps every
 // accepted coordinator connection in deterministic seed-scripted fault
 // injection (internal/faultnet) for recovery drills; the rendered
 // tables must still be byte-identical to a fault-free run.
@@ -375,13 +376,13 @@ func parseOptions(args []string) (*options, error) {
 	fs.BoolVar(&o.resume, "resume", false, "with -shard: reuse a matching existing shard file's results")
 	fs.StringVar(&o.coord, "coordinate", "", "listen on this address (e.g. :9131) and lease trial chunks to -worker processes")
 	fs.StringVar(&o.worker, "worker", "", "connect to a coordinator at this address and execute leased chunks")
-	fs.StringVar(&o.cacheGC, "cache-gc", "", "delete the given plan fingerprint's entries (plus temp files) from -cache")
+	fs.StringVar(&o.cacheGC, "cache-gc", "", "delete the given plan fingerprint's segments (plus any file that is not a valid segment) from -cache")
 	fs.IntVar(&o.chunk, "chunk", 8, "with -coordinate: trials per lease")
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", 10*time.Second, "with -coordinate: heartbeat deadline before a lease's chunk is reassigned")
 	fs.StringVar(&o.authKey, "auth-key", "", "shared key for the coordinator/worker HMAC handshake (both ends must agree)")
 	fs.IntVar(&o.dialRetries, "dial-retries", 0, "with -worker: consecutive failed connection attempts before giving up (0 = default 10, negative = single attempt)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 0, "with -coordinate -out: how long a cancelled coordinator waits for in-flight leases before draining results to -out")
-	fs.Int64Var(&o.cacheMaxBytes, "cache-max-bytes", 0, "after a successful run: evict least-recently-used -cache entries down to this many bytes (current run's entries are never evicted)")
+	fs.Int64Var(&o.cacheMaxBytes, "cache-max-bytes", 0, "after a successful run: evict least-recently-used -cache segments down to this many bytes (segments the current run wrote or read are never evicted)")
 	fs.Uint64Var(&o.chaos, "chaos", 0, "with -coordinate: inject deterministic seed-scripted connection faults (delays, resets, truncations, partitions) for recovery testing")
 	fs.StringVar(&o.statusAddr, "status-addr", "", "with -coordinate or -worker: serve the HTTP ops plane (/metrics, /status, /healthz) on this address")
 	fs.BoolVar(&o.pprofOn, "pprof", false, "with -status-addr: also mount net/http/pprof under /debug/pprof/")

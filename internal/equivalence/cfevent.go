@@ -49,7 +49,9 @@ func CheckEventCF(res *cooperfrieze.Result, a, b int) (bool, error) {
 
 // MonteCarloEventProbCF estimates the probability of the Theorem-2
 // equivalence event for the window (a, cfg.N] by repeated generation.
-// It returns the estimate and its standard error.
+// It returns the estimate and its standard error. All reps generate
+// through one reused scratch, which draws the same graphs as fresh
+// generation.
 func MonteCarloEventProbCF(r *rng.RNG, cfg cooperfrieze.Config, a, reps int) (estimate, stderr float64, err error) {
 	if reps < 1 {
 		return 0, 0, fmt.Errorf("equivalence: reps = %d < 1", reps)
@@ -57,9 +59,10 @@ func MonteCarloEventProbCF(r *rng.RNG, cfg cooperfrieze.Config, a, reps int) (es
 	if err := validateWindow(a, cfg.N, cfg.N); err != nil {
 		return 0, 0, err
 	}
+	var scratch cooperfrieze.Scratch
 	hits := 0
 	for i := 0; i < reps; i++ {
-		res, err := cfg.Generate(r)
+		res, err := cfg.GenerateScratch(r, &scratch)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -13,6 +13,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"scalefree/internal/core"
 	"scalefree/internal/engine"
@@ -237,10 +238,12 @@ func DrainToDir(selected []Experiment, cfg Config, dir string, logf func(format 
 // at cfg and serves leased chunks through the cache-aware
 // sweep.Execute path, so a worker's local -cache still persists every
 // finished trial and warm entries satisfy stolen chunks without
-// recomputation. A lease for an experiment this worker did not select,
-// or whose fingerprint differs from the local plan's (different seed,
-// scale, or binary revision), aborts the sweep on both sides — a
-// configuration skew must never be absorbed silently.
+// recomputation. Trial scratch outlives each lease (scratchPool), so a
+// long sweep's many short leases reuse warm buffers. A lease for an
+// experiment this worker did not select, or whose fingerprint differs
+// from the local plan's (different seed, scale, or binary revision),
+// aborts the sweep on both sides — a configuration skew must never be
+// absorbed silently.
 func SweepWorker(ctx context.Context, selected []Experiment, cfg Config, addr string, eopts engine.Options, cache *sweep.Cache, wopts sweep.WorkerOptions) (sweep.Stats, error) {
 	type local struct {
 		plan *Plan
@@ -254,6 +257,7 @@ func SweepWorker(ctx context.Context, selected []Experiment, cfg Config, addr st
 		}
 		locals[e.ID] = local{plan: plan, job: job}
 	}
+	pool := &scratchPool{}
 	resolve := func(expID, fingerprint string) (*sweep.WorkerJob, error) {
 		l, ok := locals[expID]
 		if !ok {
@@ -266,11 +270,53 @@ func SweepWorker(ctx context.Context, selected []Experiment, cfg Config, addr st
 		return &sweep.WorkerJob{
 			Trials: l.plan.Trials,
 			Execute: func(ctx context.Context, trials []engine.Trial) (map[int]any, sweep.Stats, error) {
-				return sweep.Execute(ctx, l.job, trials, eopts, cache, core.NewScratch, l.plan.Run)
+				var leased []*core.Scratch
+				defer func() { pool.put(leased) }()
+				return sweep.Execute(ctx, l.job, trials, eopts, cache, func() *core.Scratch {
+					return pool.get(&leased)
+				}, l.plan.Run)
 			},
 		}, nil
 	}
 	return sweep.RunWorker(ctx, addr, resolve, wopts)
+}
+
+// scratchPool keeps a sweep worker's trial scratch across leases, so
+// each lease's engine workers start from warm search and generator
+// buffers instead of allocating them cold. A scratch is handed to one
+// engine worker at a time, and the pool never holds more than the
+// engine's worker count. Scratch is memory reuse only, so results are
+// unchanged.
+type scratchPool struct {
+	mu   sync.Mutex
+	free []*core.Scratch
+}
+
+// get hands out a free scratch, or a new one, and records it in
+// leased. Engine workers call it concurrently.
+func (p *scratchPool) get(leased *[]*core.Scratch) *core.Scratch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var s *core.Scratch
+	if n := len(p.free); n > 0 {
+		s = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		s = core.NewScratch()
+	}
+	*leased = append(*leased, s)
+	return s
+}
+
+// put returns scratches once the Execute that leased them has
+// returned, detaching any trace writer the engine attached.
+func (p *scratchPool) put(leased []*core.Scratch) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, s := range leased {
+		s.AttachTrace(nil)
+		p.free = append(p.free, s)
+	}
 }
 
 // MergeShardFiles reassembles the full positional result slice of the

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"scalefree/internal/core"
 	"scalefree/internal/engine"
 	"scalefree/internal/sweep"
 )
@@ -228,5 +229,30 @@ func TestFingerprintDistinguishesConfigs(t *testing.T) {
 	other, _ := ByID("E11")
 	if fp, _ := other.Fingerprint(Config{Seed: 2024, Scale: 0.05}); fp == base {
 		t.Error("fingerprint ignores experiment")
+	}
+}
+
+// TestScratchPoolReuse: leases take scratches exclusively, and a later
+// lease reuses what an earlier one returned instead of allocating, so a
+// worker never holds more scratches than one lease's engine workers.
+func TestScratchPoolReuse(t *testing.T) {
+	pool := &scratchPool{}
+	var first []*core.Scratch
+	a, b := pool.get(&first), pool.get(&first)
+	if a == b {
+		t.Fatal("two engine workers of one lease share a scratch")
+	}
+	pool.put(first)
+	var second []*core.Scratch
+	for i := 0; i < 2; i++ {
+		if s := pool.get(&second); s != a && s != b {
+			t.Errorf("lease 2 worker %d got a new scratch while returned ones were free", i)
+		}
+	}
+	if second[0] == second[1] {
+		t.Error("a returned scratch was handed out twice")
+	}
+	if len(pool.free) != 0 {
+		t.Errorf("pool holds %d scratches while all are leased", len(pool.free))
 	}
 }

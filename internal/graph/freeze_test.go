@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // buildSample fills b (which must be freshly Reset) with a small
 // multigraph exercising self-loops and parallel edges.
@@ -83,4 +86,19 @@ func TestBuilderResetClearsState(t *testing.T) {
 	if g.NumVertices() != 2 || g.NumEdges() != 1 || g.Degree(1) != 1 {
 		t.Fatalf("rebuilt graph wrong: n=%d m=%d", g.NumVertices(), g.NumEdges())
 	}
+}
+
+// TestFreezeHalvesLimit: past the int32 offset range freeze panics with
+// a message naming the limit instead of wrapping. checkHalves is the
+// check FreezeInto runs, exercised here without 2^31 halves.
+func TestFreezeHalvesLimit(t *testing.T) {
+	checkHalves(0)
+	checkHalves(maxHalves / 2) // 2^31-2 halves: the largest that fits
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "int32") || !strings.Contains(msg, "2147483647") {
+			t.Errorf("one edge over the limit: panic %q, want one naming the int32 limit", msg)
+		}
+	}()
+	checkHalves(maxHalves/2 + 1)
 }

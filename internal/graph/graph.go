@@ -18,6 +18,8 @@
 package graph
 
 import (
+	"fmt"
+	"math"
 	"sync"
 
 	"scalefree/internal/buf"
@@ -171,10 +173,14 @@ func (b *Builder) Freeze() *Graph {
 // is a Graph invariant, not an accident of the build: the search
 // oracle finds an edge's far half by binary search on Half.Edge, and
 // Snapshot.Validate rejects files that break it.
+//
+// FreezeInto panics when the graph has more than maxHalves half-edges:
+// the CSR offsets are int32 and would wrap.
 func (b *Builder) FreezeInto(g *Graph) *Graph {
 	b.ensureInit()
 	n := b.NumVertices()
 	m := len(b.from)
+	checkHalves(m)
 	g.n = n
 	g.from = buf.Grow(g.from, m)
 	copy(g.from, b.from)
@@ -207,6 +213,18 @@ func (b *Builder) FreezeInto(g *Graph) *Graph {
 	}
 	g.off[1] = 0
 	return g
+}
+
+// maxHalves is the most half-edges a Graph can hold (two per edge, so
+// about 1.07e9 edges): CSR offsets are int32.
+const maxHalves = math.MaxInt32
+
+// checkHalves panics, naming the limit, when m edges need more than
+// maxHalves half-edges.
+func checkHalves(m int) {
+	if int64(m) > maxHalves/2 {
+		panic(fmt.Sprintf("graph: %d edges need %d half-edges, over the int32 CSR offset limit of %d", m, 2*int64(m), maxHalves))
+	}
 }
 
 // Graph is an immutable directed multigraph in CSR layout. Build one

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -277,11 +278,37 @@ func TestCoordinateManyWorkers(t *testing.T) {
 	defer cancel()
 
 	var executed atomic.Int64
+	// Hold each worker's first chunk until all three are executing one,
+	// so three live workers share the sweep: unheld, two workers can
+	// finish the 60 no-op trials before the third dials, and the third
+	// then finds the listener closed. The timeout keeps a real failure
+	// to connect from hanging the test.
+	var arrived sync.WaitGroup
+	arrived.Add(3)
+	allIn := make(chan struct{})
+	go func() { arrived.Wait(); close(allIn) }()
 	errs := make(chan error, 3)
 	for w := 0; w < 3; w++ {
+		var once sync.Once
+		inner := countingResolver(job, trials, &executed)
+		resolve := func(expID, fingerprint string) (*WorkerJob, error) {
+			wj, err := inner(expID, fingerprint)
+			if err != nil {
+				return nil, err
+			}
+			execute := wj.Execute
+			wj.Execute = func(ctx context.Context, sub []engine.Trial) (map[int]any, Stats, error) {
+				once.Do(arrived.Done)
+				select {
+				case <-allIn:
+				case <-time.After(10 * time.Second):
+				}
+				return execute(ctx, sub)
+			}
+			return wj, nil
+		}
 		go func(w int) {
-			_, err := RunWorker(context.Background(), addr, countingResolver(job, trials, &executed),
-				WorkerOptions{Name: fmt.Sprintf("w%d", w)})
+			_, err := RunWorker(context.Background(), addr, resolve, WorkerOptions{Name: fmt.Sprintf("w%d", w)})
 			errs <- err
 		}(w)
 	}

@@ -43,10 +43,10 @@ func (s Stats) String() string {
 // trial index, so callers reassemble positional slices regardless of
 // which subset ran where.
 //
-// Cache reads happen before the engine starts: hits never occupy a
-// worker and never appear in progress reporting (Progress.Total counts
-// only trials that will actually run, keeping rate and ETA estimates
-// honest). Cache writes happen inside the trial function, immediately
+// Cache reads happen before the engine starts, as one batch: hits
+// never occupy a worker and never appear in progress reporting
+// (Progress.Total counts only trials that will actually run, keeping
+// rate and ETA estimates honest). Cache writes happen inside the trial function, immediately
 // after each trial completes — not after the run — so a cancelled
 // sweep has persisted every finished trial and resumes exactly where
 // it stopped. A failed cache write fails the trial: the caller asked
@@ -70,15 +70,23 @@ func Execute[S any](
 	var stats Stats
 
 	run := trials
+	// keys holds the cache key of each trial that runs, by plan index.
+	var keys map[int]string
 	if cache != nil {
+		all := make([]string, len(trials))
+		for i, t := range trials {
+			all[i] = CacheKey(job.ExpID, job.Fingerprint, t)
+		}
+		cache.getAll(all, func(i int, v any) { results[trials[i].Index] = v })
 		run = make([]engine.Trial, 0, len(trials))
-		for _, t := range trials {
-			if v, ok := lookupTrial(cache, job.ExpID, job.Fingerprint, t); ok {
-				results[t.Index] = v
+		keys = make(map[int]string, len(trials))
+		for i, t := range trials {
+			if _, hit := results[t.Index]; hit {
 				stats.CacheHits++
 				continue
 			}
 			run = append(run, t)
+			keys[t.Index] = all[i]
 		}
 		// Tag the timeline with the cache outcome for this batch: a
 		// lease that resolved mostly from cache explains a short lease
@@ -106,8 +114,10 @@ func Execute[S any](
 			return nil, err
 		}
 		trialSecs.ObserveDuration(time.Since(t0))
-		if err := storeTrial(cache, job.ExpID, job.Fingerprint, t, v); err != nil {
-			return nil, fmt.Errorf("caching result: %w", err)
+		if cache != nil {
+			if err := cache.Put(keys[t.Index], job.Fingerprint, v); err != nil {
+				return nil, fmt.Errorf("caching result: %w", err)
+			}
 		}
 		executed.Add(1)
 		trialsDone.Inc()

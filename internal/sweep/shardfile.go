@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -71,6 +72,34 @@ func WriteShardFile(path string, h ShardHeader, results map[int]any) error {
 		buf = append(buf, payload...)
 	}
 	return atomicWriteFile(path, buf)
+}
+
+// atomicWriteFile writes data to path via a sibling temp file and
+// rename, so readers never observe a partial file and concurrent
+// writers of identical content race harmlessly. The temp name is
+// dot-prefixed so a crashed writer's leftovers can never match the
+// "<expID>.shard-*" glob a merge run sweeps up, and carries tempPrefix
+// so cache GC recognizes it.
+func atomicWriteFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), tempPrefix+filepath.Base(path)+"-*")
+	if err != nil {
+		return fmt.Errorf("sweep: atomic write: %w", err)
+	}
+	tmpName := tmp.Name()
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return fmt.Errorf("sweep: atomic write: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("sweep: atomic write: %w", err)
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("sweep: atomic write: %w", err)
+	}
+	return nil
 }
 
 // ReadShardFile parses a shard file back into its header and positional

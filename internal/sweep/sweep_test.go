@@ -124,18 +124,27 @@ func TestCachePutGet(t *testing.T) {
 	if !ok || v != 42.5 {
 		t.Fatalf("Get = %v, %v; want 42.5, true", v, ok)
 	}
-	// A corrupt entry is a miss, not an error.
-	if err := os.WriteFile(c.path(key), []byte("garbage"), 0o644); err != nil {
+	// A corrupt record is a miss, not an error.
+	segs := segmentPaths(t, c.Dir())
+	if len(segs) != 1 {
+		t.Fatalf("one Put left %d segments, want 1", len(segs))
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(key); ok {
-		t.Error("hit on corrupt entry")
+		t.Error("hit on corrupt record")
 	}
 	if err := c.Put(key, job.Fingerprint, 7.0); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := c.Get(key); !ok || v != 7.0 {
-		t.Error("overwrite of corrupt entry failed")
+		t.Error("re-put after a corrupt record failed")
 	}
 	if n, err := c.Len(); err != nil || n != 1 {
 		t.Errorf("Len = %d, %v; want 1", n, err)
@@ -177,6 +186,10 @@ func TestCacheLenSkipsTempFiles(t *testing.T) {
 	if err := c.Put(key, job.Fingerprint, 3.5); err != nil {
 		t.Fatal(err)
 	}
+	// The v1 layout's fan-out directory, where its writers left temps.
+	if err := os.MkdirAll(filepath.Join(c.Dir(), key[:2]), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	crash := filepath.Join(c.Dir(), key[:2], tempPrefix+key+"-1234")
 	if err := os.WriteFile(crash, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
@@ -186,49 +199,15 @@ func TestCacheLenSkipsTempFiles(t *testing.T) {
 	}
 }
 
-// TestOpenCacheReapsStaleTemps: reopening a cache removes temp files
-// old enough to be crash orphans, but leaves fresh ones (a concurrent
-// writer's in-flight rename) alone.
-func TestOpenCacheReapsStaleTemps(t *testing.T) {
+// TestCacheEvictTo: eviction is LRU over segments by mtime with a hard
+// guarantee — segments written or touched by the current run (at or
+// after OpenCache) are never removed, no matter how small the bound.
+// Each entry is written through its own handle, so each has its own
+// segment; old segments are simulated by backdating mtimes, exactly
+// what a cache directory inherited from last week's sweeps looks like.
+func TestCacheEvictTo(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := filepath.Join(dir, "ab")
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	stale := filepath.Join(sub, tempPrefix+"old-111")
-	fresh := filepath.Join(sub, tempPrefix+"new-222")
-	for _, p := range []string{stale, fresh} {
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := time.Now().Add(-2 * tempReapAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCache(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp file survived OpenCache")
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Error("fresh temp file was reaped")
-	}
-	_ = c
-}
-
-// TestCacheEvictTo: eviction is LRU by mtime with a hard guarantee —
-// entries written or touched by the current run (at or after
-// OpenCache) are never removed, no matter how small the bound. Old
-// entries are simulated by backdating mtimes, exactly what a cache
-// directory inherited from last week's sweeps looks like.
-func TestCacheEvictTo(t *testing.T) {
-	c, err := OpenCache(filepath.Join(t.TempDir(), "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,20 +216,18 @@ func TestCacheEvictTo(t *testing.T) {
 	keys := make([]string, len(trials))
 	for i, tr := range trials {
 		keys[i] = CacheKey(job.ExpID, job.Fingerprint, tr)
-		if err := c.Put(keys[i], job.Fingerprint, float64(i)); err != nil {
-			t.Fatal(err)
-		}
 	}
-	// Entries 0-3 predate this run; 4 and 5 are the current run's own
+	segs := putSeparately(t, dir, job.Fingerprint, keys)
+	// Segments 0-3 predate this run; 4 and 5 are the current run's own
 	// writes and stay fresh.
 	for i := 0; i <= 3; i++ {
 		old := time.Now().Add(-time.Duration(4-i) * time.Hour)
-		if err := os.Chtimes(c.path(keys[i]), old, old); err != nil {
+		if err := os.Chtimes(segs[i], old, old); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A Get refreshes the entry's recency: entry 3 becomes part of the
-	// current run's working set and must survive any eviction.
+	// A Get refreshes its segment's recency: segment 3 becomes part of
+	// the current run's working set and must survive any eviction.
 	if _, ok := c.Get(keys[3]); !ok {
 		t.Fatal("miss on backdated entry")
 	}
@@ -263,7 +240,7 @@ func TestCacheEvictTo(t *testing.T) {
 		t.Errorf("EvictTo(0) removed %d entries, want the 3 stale ones", stats.Entries)
 	}
 	if stats.Kept == 0 {
-		t.Error("EvictTo(0) reports nothing kept despite protected entries")
+		t.Error("EvictTo(0) reports nothing kept despite protected segments")
 	}
 	for i, key := range keys {
 		_, ok := c.Get(key)
@@ -272,26 +249,25 @@ func TestCacheEvictTo(t *testing.T) {
 		}
 	}
 
-	// LRU order: with a bound that forces out exactly one entry, the
+	// LRU order: with a bound that forces out exactly one segment, the
 	// oldest goes and the rest stay.
-	c2, err := OpenCache(filepath.Join(t.TempDir(), "cache2"))
+	dir2 := filepath.Join(t.TempDir(), "cache2")
+	c2, err := OpenCache(dir2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	segs = putSeparately(t, dir2, job.Fingerprint, keys[:3])
 	var total int64
 	var sizes [3]int64
-	for i := 0; i < 3; i++ {
-		if err := c2.Put(keys[i], job.Fingerprint, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-		info, err := os.Stat(c2.path(keys[i]))
+	for i, seg := range segs {
+		info, err := os.Stat(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sizes[i] = info.Size()
 		total += info.Size()
 		old := time.Now().Add(-time.Duration(3-i) * time.Hour)
-		if err := os.Chtimes(c2.path(keys[i]), old, old); err != nil {
+		if err := os.Chtimes(seg, old, old); err != nil {
 			t.Fatal(err)
 		}
 	}
